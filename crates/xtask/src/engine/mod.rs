@@ -560,6 +560,8 @@ pub(crate) fn collect_sources(root: &Path) -> std::io::Result<Vec<(PathBuf, Stri
                     Some(c) if rel.starts_with("crates") => {
                         c.as_os_str().to_string_lossy().into_owned()
                     }
+                    // The standalone benchmark package gets the bench policy.
+                    _ if rel.starts_with("perfbench") => "bench".to_string(),
                     _ => "conzone".to_string(), // the root package's src/
                 };
                 out.push((path.clone(), crate_name));
