@@ -8,7 +8,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 
 use conzone_core::ConZone;
 use conzone_flash::FlashArray;
-use conzone_ftl::{L2pCache, MapBitmap, MappingTable};
+use conzone_ftl::{L2pCache, LookupResult, MapBitmap, MappingTable};
 use conzone_host::{run_job, AccessPattern, FioJob};
 use conzone_types::{
     CellType, ChipId, DeviceConfig, IoRequest, Lpn, MapGranularity, Ppa, SimTime, StorageDevice,
@@ -48,6 +48,44 @@ fn bench_l2p_cache(c: &mut Criterion) {
         b.iter(|| {
             cache.insert(Lpn(i), MapGranularity::Page, false);
             i += 4096;
+        });
+    });
+
+    // The randread-page pattern: uniform 4 KiB reads over 1 GiB on a full
+    // page-only cache, so nearly every lookup misses and inserts with an
+    // eviction.
+    group.bench_function("miss_insert_full_page_only", |b| {
+        let mut cache = L2pCache::new(3072, 1024, 4096);
+        for i in 0..3072u64 {
+            cache.insert(Lpn(i * 85), MapGranularity::Page, false);
+        }
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        b.iter(|| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let lpn = Lpn(x % (1 << 18));
+            if cache.lookup(lpn) == LookupResult::Miss {
+                black_box(cache.insert(lpn, MapGranularity::Page, false));
+            }
+        });
+    });
+
+    // 2 000 pinned chunk entries older than every unpinned page entry, on
+    // a full cache: each insert evicts, and the victim lies past them.
+    group.bench_function("evict_past_pinned", |b| {
+        let mut cache = L2pCache::new(3072, 1024, 4096);
+        for c in 0..2000u64 {
+            cache.insert(Lpn(c * 1024), MapGranularity::Chunk, true);
+        }
+        let mut i = 1u64 << 30;
+        while cache.len() < cache.capacity() {
+            cache.insert(Lpn(i), MapGranularity::Page, false);
+            i += 1;
+        }
+        b.iter(|| {
+            black_box(cache.insert(Lpn(i), MapGranularity::Page, false));
+            i += 1;
         });
     });
     group.finish();

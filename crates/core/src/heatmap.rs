@@ -61,7 +61,9 @@ pub struct HeatmapSnapshot {
     pub zones: Vec<ZoneHeat>,
     /// One row per physical block, chip-major.
     pub blocks: Vec<BlockHeat>,
-    /// L2P cache pressure, in `[0, 1]`.
+    /// L2P cache pressure: resident entries over capacity. At most 1
+    /// except under the pinned strategy, where a value above 1 is pinned
+    /// aggregated entries stored over capacity.
     // xtask-lint: allow(float-determinism) — derived report ratio; never read back by the sim
     pub l2p_occupancy: f64,
     /// Free superblocks remaining in the SLC region.

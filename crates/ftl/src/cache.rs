@@ -5,19 +5,42 @@
 //! LZA, LCA and LPA, matching each in turn. Eviction is LRU; the pinned
 //! configuration of §IV-D keeps aggregated entries resident and evicts the
 //! entries they cover.
+//!
+//! Each entry is one packed `u64` key in an [`LruCache`]: the two map bits
+//! of its granularity above the aligned index at that level. A resident
+//! count per granularity lets lookups skip levels that hold no entry, so a
+//! page-only device pays one probe per lookup, not three.
 
 use conzone_types::{Lpn, MapGranularity};
 
 use crate::lru::{InsertOutcome, LruCache};
 
-/// Cache key: the aggregation level plus the aligned index at that level
-/// (LZA, LCA or LPA).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CacheKey {
-    /// Aggregation level of the entry.
-    pub granularity: MapGranularity,
-    /// Zone / chunk / page index at that level.
-    pub index: u64,
+/// Bit position of the granularity tag in a packed key; indices below it
+/// are page, chunk or zone numbers, far below 2⁶².
+const TAG_SHIFT: u32 = 62;
+
+/// Lookup order of paper Fig. 4 Ⅰ: LZA, then LCA, then LPA.
+const PROBE_ORDER: [MapGranularity; 3] = [
+    MapGranularity::Zone,
+    MapGranularity::Chunk,
+    MapGranularity::Page,
+];
+
+/// Index of `g` in the per-granularity resident counts.
+#[inline]
+fn level(g: MapGranularity) -> usize {
+    usize::from(g.to_bits())
+}
+
+/// Granularity and aligned index of a packed key.
+#[inline]
+fn unpack(key: u64) -> (MapGranularity, u64) {
+    let g = match key >> TAG_SHIFT {
+        0 => MapGranularity::Page,
+        1 => MapGranularity::Chunk,
+        _ => MapGranularity::Zone,
+    };
+    (g, key & ((1 << TAG_SHIFT) - 1))
 }
 
 /// Result of a cache lookup.
@@ -43,7 +66,9 @@ pub enum LookupResult {
 /// ```
 #[derive(Debug)]
 pub struct L2pCache {
-    lru: LruCache<CacheKey, ()>,
+    lru: LruCache,
+    /// Resident entries per granularity, indexed by [`level`].
+    resident: [usize; 3],
     chunk_slices: u64,
     zone_slices: u64,
 }
@@ -59,6 +84,7 @@ impl L2pCache {
         assert!(chunk_slices > 0 && zone_slices > 0);
         L2pCache {
             lru: LruCache::new(capacity),
+            resident: [0; 3],
             chunk_slices,
             zone_slices,
         }
@@ -82,14 +108,22 @@ impl L2pCache {
         self.lru.is_empty()
     }
 
+    /// Resident entries at `granularity`.
+    #[inline]
+    pub(crate) fn resident(&self, granularity: MapGranularity) -> usize {
+        self.resident[level(granularity)]
+    }
+
     /// Total LRU evictions so far.
     #[inline]
     pub fn evictions(&self) -> u64 {
         self.lru.evictions()
     }
 
-    /// Resident entries over capacity, in `[0, 1]` — the cache-pressure
-    /// figure the heatmap snapshot reports.
+    /// Resident entries over capacity — the cache-pressure figure the
+    /// heatmap snapshot reports. At most 1 except under the pinned
+    /// strategy, whose aggregated entries are stored even when every
+    /// resident is pinned: a value above 1 is that pinned overflow.
     pub fn occupancy(&self) -> f64 {
         if self.capacity() == 0 {
             0.0
@@ -98,26 +132,24 @@ impl L2pCache {
         }
     }
 
-    fn key_for(&self, lpn: Lpn, granularity: MapGranularity) -> CacheKey {
+    #[inline]
+    fn key_for(&self, lpn: Lpn, granularity: MapGranularity) -> u64 {
         let index = match granularity {
             MapGranularity::Page => lpn.raw(),
             MapGranularity::Chunk => lpn.raw() / self.chunk_slices,
             MapGranularity::Zone => lpn.raw() / self.zone_slices,
         };
-        CacheKey { granularity, index }
+        u64::from(granularity.to_bits()) << TAG_SHIFT | index
     }
 
     /// Looks up a logical page, trying LZA, then LCA, then LPA (paper
-    /// Fig. 4 Ⅰ). A hit promotes the entry to most-recently-used.
+    /// Fig. 4 Ⅰ), skipping levels with no resident entry. A hit promotes
+    /// the entry to most-recently-used.
     // xtask-effect: hot_path
     pub fn lookup(&mut self, lpn: Lpn) -> LookupResult {
-        for granularity in [
-            MapGranularity::Zone,
-            MapGranularity::Chunk,
-            MapGranularity::Page,
-        ] {
-            let key = self.key_for(lpn, granularity);
-            if self.lru.get(&key).is_some() {
+        for granularity in PROBE_ORDER {
+            if self.resident[level(granularity)] > 0 && self.lru.get(self.key_for(lpn, granularity))
+            {
                 return LookupResult::Hit(granularity);
             }
         }
@@ -126,13 +158,9 @@ impl L2pCache {
 
     /// Whether any entry covers `lpn`, without touching recency.
     pub fn covers(&self, lpn: Lpn) -> bool {
-        [
-            MapGranularity::Zone,
-            MapGranularity::Chunk,
-            MapGranularity::Page,
-        ]
-        .into_iter()
-        .any(|g| self.lru.contains(&self.key_for(lpn, g)))
+        PROBE_ORDER
+            .into_iter()
+            .any(|g| self.resident[level(g)] > 0 && self.lru.contains(self.key_for(lpn, g)))
     }
 
     /// Inserts the entry covering `lpn` at `granularity`. When `pinned` is
@@ -143,46 +171,59 @@ impl L2pCache {
         if granularity > MapGranularity::Page {
             self.evict_covered(lpn, granularity);
         }
-        let key = self.key_for(lpn, granularity);
-        self.lru.insert(key, (), pinned)
+        let (outcome, evicted) = self.lru.insert(self.key_for(lpn, granularity), pinned);
+        match outcome {
+            InsertOutcome::Stored | InsertOutcome::Evicted | InsertOutcome::OverCapacity => {
+                self.resident[level(granularity)] += 1;
+            }
+            InsertOutcome::Updated | InsertOutcome::Rejected => {}
+        }
+        if let Some(key) = evicted {
+            self.resident[level(unpack(key).0)] -= 1;
+        }
+        outcome
     }
 
     /// Removes entries strictly below `granularity` that the new aggregated
     /// entry covers ("the covered L2P mapping entries are evicted",
     /// §IV-D).
     fn evict_covered(&mut self, lpn: Lpn, granularity: MapGranularity) {
-        let (lo, hi) = match granularity {
+        let (lo, hi, below) = match granularity {
             MapGranularity::Zone => {
                 let z = lpn.raw() / self.zone_slices;
-                (z * self.zone_slices, (z + 1) * self.zone_slices)
+                let below =
+                    self.resident(MapGranularity::Page) + self.resident(MapGranularity::Chunk);
+                (z * self.zone_slices, (z + 1) * self.zone_slices, below)
             }
             MapGranularity::Chunk => {
                 let c = lpn.raw() / self.chunk_slices;
-                (c * self.chunk_slices, (c + 1) * self.chunk_slices)
+                let below = self.resident(MapGranularity::Page);
+                (c * self.chunk_slices, (c + 1) * self.chunk_slices, below)
             }
             MapGranularity::Page => return,
         };
+        if below == 0 {
+            return;
+        }
         let chunk_slices = self.chunk_slices;
-        self.lru.retain_not(|k| match k.granularity {
-            MapGranularity::Page => k.index >= lo && k.index < hi,
+        self.remove_where(|g, index| match g {
+            MapGranularity::Page => index >= lo && index < hi,
             MapGranularity::Chunk if granularity == MapGranularity::Zone => {
-                let start = k.index * chunk_slices;
+                let start = index * chunk_slices;
                 start >= lo && start < hi
             }
-            _ => false,
+            MapGranularity::Chunk | MapGranularity::Zone => false,
         });
     }
 
     /// Invalidates any entry covering `lpn` (mapping changed: overwrite, GC
     /// migration or zone reset).
     pub fn invalidate_page(&mut self, lpn: Lpn) {
-        for granularity in [
-            MapGranularity::Zone,
-            MapGranularity::Chunk,
-            MapGranularity::Page,
-        ] {
-            let key = self.key_for(lpn, granularity);
-            self.lru.remove(&key);
+        for granularity in PROBE_ORDER {
+            let l = level(granularity);
+            if self.resident[l] > 0 && self.lru.remove(self.key_for(lpn, granularity)) {
+                self.resident[l] -= 1;
+            }
         }
     }
 
@@ -193,19 +234,40 @@ impl L2pCache {
         let hi = lo + self.zone_slices;
         let chunk_slices = self.chunk_slices;
         let zone_slices = self.zone_slices;
-        self.lru.retain_not(|k| match k.granularity {
-            MapGranularity::Page => k.index >= lo && k.index < hi,
+        self.remove_where(|g, index| match g {
+            MapGranularity::Page => index >= lo && index < hi,
             MapGranularity::Chunk => {
-                let start = k.index * chunk_slices;
+                let start = index * chunk_slices;
                 start >= lo && start < hi
             }
-            MapGranularity::Zone => k.index * zone_slices == lo,
+            MapGranularity::Zone => index * zone_slices == lo,
+        });
+    }
+
+    /// Removes every entry for which `doomed(granularity, index)` holds,
+    /// keeping the resident counts in step.
+    fn remove_where(&mut self, mut doomed: impl FnMut(MapGranularity, u64) -> bool) {
+        let resident = &mut self.resident;
+        self.lru.retain_not(|key| {
+            let (g, index) = unpack(key);
+            let hit = doomed(g, index);
+            if hit {
+                resident[level(g)] -= 1;
+            }
+            hit
         });
     }
 
     /// Drops everything.
     pub fn clear(&mut self) {
         self.lru.clear();
+        self.resident = [0; 3];
+    }
+
+    /// Resident entries as `(granularity, index)`, in slab order.
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (MapGranularity, u64)> + '_ {
+        self.lru.keys().map(unpack)
     }
 }
 
@@ -293,6 +355,41 @@ mod tests {
         c.invalidate_zone(Lpn(16));
         assert_eq!(c.lookup(Lpn(20)), LookupResult::Miss);
         assert_eq!(c.lookup(Lpn(0)), LookupResult::Hit(MapGranularity::Page));
+    }
+
+    #[test]
+    fn occupancy_exceeds_one_under_pinned_overflow() {
+        let mut c = L2pCache::new(2, 4, 16);
+        c.insert(Lpn(0), MapGranularity::Zone, true);
+        c.insert(Lpn(16), MapGranularity::Zone, true);
+        assert_eq!(c.occupancy(), 1.0);
+        assert_eq!(
+            c.insert(Lpn(32), MapGranularity::Chunk, true),
+            InsertOutcome::OverCapacity
+        );
+        assert_eq!(c.len(), 3);
+        assert_eq!(c.occupancy(), 1.5);
+        // Unpinned inserts are rejected while every resident is pinned.
+        assert_eq!(
+            c.insert(Lpn(40), MapGranularity::Page, false),
+            InsertOutcome::Rejected
+        );
+        assert_eq!(c.occupancy(), 1.5);
+    }
+
+    #[test]
+    fn page_only_cache_counts_pages_only() {
+        let mut c = cache();
+        for i in 0..12 {
+            c.insert(Lpn(i * 3), MapGranularity::Page, false);
+        }
+        assert_eq!(c.resident(MapGranularity::Page), 8);
+        assert_eq!(c.resident(MapGranularity::Chunk), 0);
+        assert_eq!(c.resident(MapGranularity::Zone), 0);
+        c.invalidate_zone(Lpn(0));
+        assert_eq!(c.resident(MapGranularity::Page), c.len());
+        c.clear();
+        assert_eq!(c.resident(MapGranularity::Page), 0);
     }
 
     #[test]

@@ -6,12 +6,18 @@
 //!   *map bits* record page / chunk / zone aggregation, with the
 //!   canonical-placement rule that gates aggregation;
 //! * [`L2pCache`] — the limited volatile cache with LZA → LCA → LPA lookup,
-//!   LRU replacement and optional pinning of aggregated entries;
+//!   LRU replacement and optional pinning of aggregated entries. Each entry
+//!   is one `u64` key (two granularity bits above the aligned index), and a
+//!   resident count per granularity lets a lookup skip levels holding no
+//!   entry — one probe per lookup on a page-only device;
 //! * [`MapBitmap`] — the in-SRAM map-bit mirror of the Bitmap strategy;
 //! * [`mapping_fetches`] — the per-miss flash-fetch cost of each
 //!   [`SearchStrategy`](conzone_types::SearchStrategy);
-//! * [`LruCache`] — the generic pinned-LRU underlying the L2P cache (also
-//!   used by the Legacy baseline's prefetching cache).
+//! * [`LruCache`] — the flat pinned LRU underlying the L2P cache (also
+//!   used by the Legacy baseline's prefetching cache, keyed by raw LPN): a
+//!   fixed open-addressed index with a multiplicative hash over a dense node
+//!   slab, allocated once. Pinned entries are kept off the recency list, so
+//!   the eviction victim is always its tail.
 //!
 //! ```
 //! use conzone_ftl::{L2pCache, LookupResult, MappingTable};
@@ -41,7 +47,7 @@ mod mapping;
 mod strategy;
 
 pub use bitmap::MapBitmap;
-pub use cache::{CacheKey, L2pCache, LookupResult};
+pub use cache::{L2pCache, LookupResult};
 pub use lru::{InsertOutcome, LruCache};
 pub use mapping::{MapEntry, MappingTable};
 pub use strategy::{mapping_fetches, pins_aggregates, sram_overhead_bytes};

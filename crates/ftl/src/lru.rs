@@ -1,25 +1,58 @@
-//! An intrusive-list LRU cache with entry pinning.
+//! A flat, fixed-capacity LRU cache with entry pinning.
 //!
 //! The L2P cache evicts by LRU (paper §III-C); the pinned-aggregate design
-//! of §IV-D additionally keeps chunk/zone entries resident. This generic
-//! cache implements both: pinned entries are never chosen as eviction
-//! victims.
+//! of §IV-D additionally keeps chunk/zone entries resident. This cache
+//! implements both over `u64` keys, in three parts allocated once at
+//! construction:
+//!
+//! * **nodes** — a dense `Vec` of `(key, prev, next)` with `u32` links. The
+//!   resident entries occupy `nodes[..len]`; a removal moves the last node
+//!   into the hole.
+//! * **index** — an open-addressed table (linear probing, backward-shift
+//!   deletion) from key to node, at most half full, hashed by a fixed
+//!   multiplicative constant: no per-process random seed.
+//! * **recency list** — a doubly linked list through the *unpinned* nodes,
+//!   most recent first. Pinned entries are never victims, so they leave the
+//!   list, and the eviction victim is always its tail: O(1).
+//!
+//! Storage grows only when pinned inserts push the cache over capacity.
 
-// xtask-lint: allow(hash-collections) — keyed O(1) index lookups only; the
-// recency order lives in the explicit linked list and is never taken from
-// map iteration, so hashing cannot leak into sim-visible behaviour.
-use std::collections::HashMap;
-use std::hash::Hash;
+/// "No node": an empty index slot or the end of the recency list.
+const NIL: u32 = u32::MAX;
+/// Link value of a pinned node, which sits outside the recency list.
+const PINNED: u32 = u32::MAX - 1;
+/// Fibonacci-hashing multiplier, ⌊2⁶⁴/φ⌋ (odd).
+const HASH_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 
-const NIL: usize = usize::MAX;
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    key: u64,
+    prev: u32,
+    next: u32,
+}
 
-#[derive(Debug)]
-struct Node<K, V> {
-    key: K,
-    value: V,
-    pinned: bool,
-    prev: usize,
-    next: usize,
+impl Node {
+    const EMPTY: Node = Node {
+        key: 0,
+        prev: NIL,
+        next: NIL,
+    };
+
+    #[inline]
+    fn pinned(&self) -> bool {
+        self.prev == PINNED
+    }
+}
+
+/// One index slot; `node == NIL` marks it empty.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    key: u64,
+    node: u32,
+}
+
+impl Slot {
+    const EMPTY: Slot = Slot { key: 0, node: NIL };
 }
 
 /// Outcome of an insert.
@@ -38,68 +71,77 @@ pub enum InsertOutcome {
     OverCapacity,
 }
 
-/// LRU cache with per-entry pinning.
+/// LRU cache of `u64` keys with per-entry pinning.
 ///
 /// ```
-/// use conzone_ftl::LruCache;
+/// use conzone_ftl::{InsertOutcome, LruCache};
 ///
 /// let mut c = LruCache::new(2);
-/// c.insert('a', 1, false);
-/// c.insert('b', 2, false);
-/// c.get(&'a'); // 'a' becomes most recent
-/// c.insert('c', 3, false); // evicts 'b'
-/// assert!(c.contains(&'a') && c.contains(&'c') && !c.contains(&'b'));
+/// c.insert(1, false);
+/// c.insert(2, false);
+/// c.get(1); // 1 becomes most recent
+/// assert_eq!(c.insert(3, false), (InsertOutcome::Evicted, Some(2)));
+/// assert!(c.contains(1) && c.contains(3) && !c.contains(2));
 /// ```
 #[derive(Debug)]
-pub struct LruCache<K, V> {
-    // xtask-lint: allow(hash-collections) — keyed lookups only, never iterated
-    map: HashMap<K, usize>,
-    nodes: Vec<Option<Node<K, V>>>,
-    free: Vec<usize>,
-    /// Most recently used.
-    head: usize,
-    /// Least recently used.
-    tail: usize,
-    capacity: usize,
+pub struct LruCache {
+    /// Resident entries live in `nodes[..len]`.
+    nodes: Vec<Node>,
+    len: u32,
+    /// Open-addressed key → node index; its length is a power of two.
+    slots: Vec<Slot>,
+    /// `64 - log2(slots.len())`: a key's home slot is the top bits of its
+    /// multiplicative hash.
+    shift: u32,
+    /// Most recently used unpinned entry.
+    head: u32,
+    /// Least recently used unpinned entry: the next victim.
+    tail: u32,
+    capacity: u32,
     evictions: u64,
 }
 
-impl<K: Hash + Eq + Copy, V> LruCache<K, V> {
+impl LruCache {
     /// Creates a cache holding at most `capacity` entries.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> LruCache<K, V> {
-        assert!(capacity > 0, "cache capacity must be non-zero");
-        LruCache {
-            // xtask-lint: allow(hash-collections) — keyed lookups only
-            map: HashMap::with_capacity(capacity),
-            nodes: Vec::with_capacity(capacity),
-            free: Vec::new(),
+    /// Panics if `capacity` is zero or does not fit the `u32` links.
+    pub fn new(capacity: usize) -> LruCache {
+        let cap = match u32::try_from(capacity) {
+            Ok(c) if c > 0 && c < PINNED => c,
+            _ => panic!("cache capacity must be in 1..{PINNED}, got {capacity}"),
+        };
+        let mut cache = LruCache {
+            nodes: vec![Node::EMPTY; capacity],
+            len: 0,
+            slots: Vec::new(),
+            shift: 0,
             head: NIL,
             tail: NIL,
-            capacity,
+            capacity: cap,
             evictions: 0,
-        }
+        };
+        cache.rehash((2 * capacity).next_power_of_two());
+        cache
     }
 
-    /// Number of resident entries.
+    /// Number of resident entries, pinned ones included.
     #[inline]
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.len as usize
     }
 
     /// Whether the cache is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len == 0
     }
 
     /// Configured capacity in entries.
     #[inline]
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.capacity as usize
     }
 
     /// LRU evictions performed so far.
@@ -110,167 +152,262 @@ impl<K: Hash + Eq + Copy, V> LruCache<K, V> {
 
     /// Whether `key` is resident (does not touch recency).
     #[inline]
-    pub fn contains(&self, key: &K) -> bool {
-        self.map.contains_key(key)
+    pub fn contains(&self, key: u64) -> bool {
+        self.find(key).is_some()
     }
 
-    fn node(&self, idx: usize) -> &Node<K, V> {
-        // xtask-lint: allow(unwrap-expect, hot-path-effects) — linked-list integrity: every index
-        // reachable from the list or the map points at a live node by construction.
-        self.nodes[idx].as_ref().expect("linked node must be live")
-    }
-
-    fn node_mut(&mut self, idx: usize) -> &mut Node<K, V> {
-        // xtask-lint: allow(unwrap-expect, hot-path-effects) — same linked-list integrity invariant
-        self.nodes[idx].as_mut().expect("linked node must be live")
-    }
-
-    fn unlink(&mut self, idx: usize) {
-        let (prev, next) = {
-            let n = self.node(idx);
-            (n.prev, n.next)
+    /// Looks up `key`, promoting it to most-recently-used on hit; returns
+    /// whether it was resident.
+    #[inline]
+    pub fn get(&mut self, key: u64) -> bool {
+        let Some(pos) = self.find(key) else {
+            return false;
         };
-        if prev != NIL {
-            self.node_mut(prev).next = next;
-        } else {
-            self.head = next;
+        let i = self.slots[pos].node;
+        if i != self.head && !self.nodes[i as usize].pinned() {
+            self.unlink(i);
+            self.push_front(i);
         }
-        if next != NIL {
-            self.node_mut(next).prev = prev;
-        } else {
-            self.tail = prev;
-        }
+        true
     }
 
-    fn push_front(&mut self, idx: usize) {
-        let old_head = self.head;
-        {
-            let n = self.node_mut(idx);
-            n.prev = NIL;
-            n.next = old_head;
-        }
-        if old_head != NIL {
-            self.node_mut(old_head).prev = idx;
-        }
-        self.head = idx;
-        if self.tail == NIL {
-            self.tail = idx;
-        }
-    }
-
-    /// Looks up `key`, promoting it to most-recently-used on hit.
-    pub fn get(&mut self, key: &K) -> Option<&V> {
-        let idx = *self.map.get(key)?;
-        self.unlink(idx);
-        self.push_front(idx);
-        Some(&self.node(idx).value)
-    }
-
-    /// Looks up `key` without touching recency.
-    pub fn peek(&self, key: &K) -> Option<&V> {
-        self.map.get(key).map(|&idx| &self.node(idx).value)
-    }
-
-    /// Removes `key`, returning its value.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        let idx = self.map.remove(key)?;
-        self.unlink(idx);
-        // xtask-lint: allow(unwrap-expect, hot-path-effects) — the map only holds live indices
-        let node = self.nodes[idx].take().expect("mapped node must be live");
-        self.free.push(idx);
-        Some(node.value)
-    }
-
-    /// Finds the least-recently-used non-pinned entry, if any.
-    fn eviction_victim(&self) -> Option<usize> {
-        let mut idx = self.tail;
-        while idx != NIL {
-            let n = self.node(idx);
-            if !n.pinned {
-                return Some(idx);
+    /// Removes `key`; returns whether it was resident.
+    pub fn remove(&mut self, key: u64) -> bool {
+        match self.find(key) {
+            Some(pos) => {
+                self.remove_slot(pos);
+                true
             }
-            idx = n.prev;
+            None => false,
         }
-        None
     }
 
-    /// Inserts `key → value`. An existing entry is updated in place
-    /// (retaining the stronger of the two pin flags). When the cache is
-    /// full, the LRU non-pinned entry is evicted; if every resident is
+    /// Inserts `key`. An existing entry is updated in place (retaining the
+    /// stronger of the two pin flags). When the cache is full, the LRU
+    /// non-pinned entry is evicted and returned; if every resident is
     /// pinned, a non-pinned insert is rejected while a pinned insert is
     /// stored over capacity.
-    pub fn insert(&mut self, key: K, value: V, pinned: bool) -> InsertOutcome {
-        if let Some(&idx) = self.map.get(&key) {
-            {
-                let n = self.node_mut(idx);
-                n.value = value;
-                n.pinned |= pinned;
+    pub fn insert(&mut self, key: u64, pinned: bool) -> (InsertOutcome, Option<u64>) {
+        if let Some(pos) = self.find(key) {
+            let i = self.slots[pos].node;
+            if !self.nodes[i as usize].pinned() {
+                self.unlink(i);
+                self.attach(i, pinned);
             }
-            self.unlink(idx);
-            self.push_front(idx);
-            return InsertOutcome::Updated;
+            return (InsertOutcome::Updated, None);
         }
-        let mut outcome = InsertOutcome::Stored;
-        if self.map.len() >= self.capacity {
-            match self.eviction_victim() {
-                Some(victim) => {
-                    let vkey = self.node(victim).key;
-                    self.remove(&vkey);
-                    self.evictions += 1;
-                    outcome = InsertOutcome::Evicted;
-                }
-                None if pinned => outcome = InsertOutcome::OverCapacity,
-                None => return InsertOutcome::Rejected,
+        let (i, outcome, evicted) = if self.len < self.capacity {
+            (self.append(), InsertOutcome::Stored, None)
+        } else if self.tail != NIL {
+            // Reuse the victim's node for the new entry.
+            let victim = self.tail;
+            let vkey = self.nodes[victim as usize].key;
+            self.unlink(victim);
+            if let Some(pos) = self.find(vkey) {
+                self.index_remove(pos);
             }
-        }
-        let node = Node {
-            key,
-            value,
-            pinned,
-            prev: NIL,
-            next: NIL,
+            self.evictions += 1;
+            (victim, InsertOutcome::Evicted, Some(vkey))
+        } else if pinned {
+            self.grow_over_capacity();
+            (self.append(), InsertOutcome::OverCapacity, None)
+        } else {
+            return (InsertOutcome::Rejected, None);
         };
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.nodes[i] = Some(node);
-                i
-            }
-            None => {
-                self.nodes.push(Some(node));
-                self.nodes.len() - 1
-            }
-        };
-        self.map.insert(key, idx);
-        self.push_front(idx);
-        outcome
-    }
-
-    /// Iterates over resident keys in unspecified order.
-    pub fn keys(&self) -> impl Iterator<Item = &K> {
-        self.map.keys()
+        self.nodes[i as usize].key = key;
+        self.index_insert(key, i);
+        self.attach(i, pinned);
+        (outcome, evicted)
     }
 
     /// Removes every key for which `pred` returns true; returns how many
-    /// were removed.
-    // xtask-effect: cold — aggregation-eviction slow path: runs when a covering
-    // entry is promoted, not per IO, and the doomed-key list must be collected
-    // before mutating the map
-    pub fn retain_not<F: FnMut(&K) -> bool>(&mut self, mut pred: F) -> usize {
-        let doomed: Vec<K> = self.map.keys().filter(|k| pred(k)).copied().collect();
-        let n = doomed.len();
-        for k in doomed {
-            self.remove(&k);
+    /// were removed. Visits the nodes in slab order, so the calls to `pred`
+    /// are deterministic, and allocates nothing.
+    pub fn retain_not<F: FnMut(u64) -> bool>(&mut self, mut pred: F) -> usize {
+        let mut removed = 0;
+        let mut i = 0;
+        while i < self.len {
+            let key = self.nodes[i as usize].key;
+            if pred(key) {
+                if let Some(pos) = self.find(key) {
+                    // The last node moves into slot `i`: look at it next.
+                    self.remove_slot(pos);
+                    removed += 1;
+                    continue;
+                }
+            }
+            i += 1;
         }
-        n
+        removed
     }
 
     /// Drops every entry.
     pub fn clear(&mut self) {
-        self.map.clear();
-        self.nodes.clear();
-        self.free.clear();
+        self.len = 0;
         self.head = NIL;
         self.tail = NIL;
+        self.slots.fill(Slot::EMPTY);
+    }
+
+    /// Resident keys in slab order.
+    #[cfg(test)]
+    pub(crate) fn keys(&self) -> impl Iterator<Item = u64> + '_ {
+        self.nodes[..self.len()].iter().map(|n| n.key)
+    }
+
+    #[inline]
+    fn home(&self, key: u64) -> usize {
+        (key.wrapping_mul(HASH_MUL) >> self.shift) as usize
+    }
+
+    /// Index slot holding `key`, if resident.
+    #[inline]
+    fn find(&self, key: u64) -> Option<usize> {
+        let mask = self.slots.len() - 1;
+        let mut pos = self.home(key);
+        loop {
+            let s = self.slots[pos];
+            if s.node == NIL {
+                return None;
+            }
+            if s.key == key {
+                return Some(pos);
+            }
+            pos = (pos + 1) & mask;
+        }
+    }
+
+    /// Records `key → node` in the first free slot of its probe run; the
+    /// caller guarantees `key` is absent.
+    fn index_insert(&mut self, key: u64, node: u32) {
+        let mask = self.slots.len() - 1;
+        let mut pos = self.home(key);
+        while self.slots[pos].node != NIL {
+            pos = (pos + 1) & mask;
+        }
+        self.slots[pos] = Slot { key, node };
+    }
+
+    /// Empties slot `pos`, shifting later members of its probe run back so
+    /// every key stays reachable from its home slot (no tombstones).
+    fn index_remove(&mut self, pos: usize) {
+        let mask = self.slots.len() - 1;
+        let mut hole = pos;
+        let mut j = pos;
+        loop {
+            j = (j + 1) & mask;
+            let s = self.slots[j];
+            if s.node == NIL {
+                break;
+            }
+            // `s` may fill the hole unless its home lies cyclically in
+            // (hole, j].
+            if (j.wrapping_sub(self.home(s.key)) & mask) >= (j.wrapping_sub(hole) & mask) {
+                self.slots[hole] = s;
+                hole = j;
+            }
+        }
+        self.slots[hole] = Slot::EMPTY;
+    }
+
+    /// Removes the entry at index slot `pos` and compacts the slab.
+    fn remove_slot(&mut self, pos: usize) {
+        let i = self.slots[pos].node;
+        self.index_remove(pos);
+        if !self.nodes[i as usize].pinned() {
+            self.unlink(i);
+        }
+        self.len -= 1;
+        let last = self.len;
+        if i == last {
+            return;
+        }
+        let moved = self.nodes[last as usize];
+        self.nodes[i as usize] = moved;
+        if !moved.pinned() {
+            match moved.prev {
+                NIL => self.head = i,
+                p => self.nodes[p as usize].next = i,
+            }
+            match moved.next {
+                NIL => self.tail = i,
+                n => self.nodes[n as usize].prev = i,
+            }
+        }
+        if let Some(p) = self.find(moved.key) {
+            self.slots[p].node = i;
+        }
+    }
+
+    /// Claims the next free node of the slab.
+    #[inline]
+    fn append(&mut self) -> u32 {
+        let i = self.len;
+        self.len += 1;
+        i
+    }
+
+    /// Places a detached node: pinned nodes stay off the recency list,
+    /// others become most recent.
+    #[inline]
+    fn attach(&mut self, i: u32, pinned: bool) {
+        if pinned {
+            let n = &mut self.nodes[i as usize];
+            n.prev = PINNED;
+            n.next = PINNED;
+        } else {
+            self.push_front(i);
+        }
+    }
+
+    fn unlink(&mut self, i: u32) {
+        let Node { prev, next, .. } = self.nodes[i as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.nodes[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.nodes[n as usize].prev = prev,
+        }
+    }
+
+    fn push_front(&mut self, i: u32) {
+        let old_head = self.head;
+        let n = &mut self.nodes[i as usize];
+        n.prev = NIL;
+        n.next = old_head;
+        match old_head {
+            NIL => self.tail = i,
+            h => self.nodes[h as usize].prev = i,
+        }
+        self.head = i;
+    }
+
+    /// Makes room for one more node than the slab holds and keeps the
+    /// index at most half full.
+    // xtask-effect: cold — pinned overflow: runs only when every resident is
+    // pinned and a pinned insert must still be stored (InsertOutcome::OverCapacity)
+    fn grow_over_capacity(&mut self) {
+        assert!(
+            self.len < PINNED - 1,
+            "pinned overflow exhausted the u32 links"
+        );
+        if self.len() == self.nodes.len() {
+            self.nodes.push(Node::EMPTY);
+        }
+        if 2 * (self.len() + 1) > self.slots.len() {
+            self.rehash(2 * self.slots.len());
+        }
+    }
+
+    /// Rebuilds the index with `size` (a power of two) slots.
+    fn rehash(&mut self, size: usize) {
+        self.slots = vec![Slot::EMPTY; size];
+        self.shift = 64 - size.trailing_zeros();
+        for i in 0..self.len {
+            self.index_insert(self.nodes[i as usize].key, i);
+        }
     }
 }
 
@@ -281,90 +418,135 @@ mod tests {
     #[test]
     fn lru_order_eviction() {
         let mut c = LruCache::new(3);
-        for (k, v) in [('a', 1), ('b', 2), ('c', 3)] {
-            assert_eq!(c.insert(k, v, false), InsertOutcome::Stored);
+        for k in [1, 2, 3] {
+            assert_eq!(c.insert(k, false), (InsertOutcome::Stored, None));
         }
-        c.get(&'a');
-        assert_eq!(c.insert('d', 4, false), InsertOutcome::Evicted);
-        // 'b' was LRU after 'a' was touched.
-        assert!(!c.contains(&'b'));
-        assert!(c.contains(&'a') && c.contains(&'c') && c.contains(&'d'));
+        c.get(1);
+        assert_eq!(c.insert(4, false), (InsertOutcome::Evicted, Some(2)));
+        // 2 was LRU after 1 was touched.
+        assert!(!c.contains(2));
+        assert!(c.contains(1) && c.contains(3) && c.contains(4));
         assert_eq!(c.evictions(), 1);
     }
 
     #[test]
     fn update_in_place_keeps_len() {
         let mut c = LruCache::new(2);
-        c.insert('a', 1, false);
-        assert_eq!(c.insert('a', 9, false), InsertOutcome::Updated);
+        c.insert(1, false);
+        assert_eq!(c.insert(1, false), (InsertOutcome::Updated, None));
         assert_eq!(c.len(), 1);
-        assert_eq!(c.peek(&'a'), Some(&9));
     }
 
     #[test]
     fn pinned_entries_survive_eviction() {
         let mut c = LruCache::new(2);
-        c.insert('p', 0, true);
-        c.insert('a', 1, false);
-        c.insert('b', 2, false); // evicts 'a', never 'p'
-        assert!(c.contains(&'p'));
-        assert!(!c.contains(&'a'));
-        assert!(c.contains(&'b'));
+        c.insert(9, true);
+        c.insert(1, false);
+        assert_eq!(c.insert(2, false), (InsertOutcome::Evicted, Some(1)));
+        assert!(c.contains(9) && c.contains(2));
+    }
+
+    #[test]
+    fn upgrading_to_pinned_leaves_the_recency_list() {
+        let mut c = LruCache::new(2);
+        c.insert(1, false);
+        c.insert(2, false);
+        assert_eq!(c.insert(1, true), (InsertOutcome::Updated, None));
+        // A later unpinned update cannot unpin it.
+        assert_eq!(c.insert(1, false), (InsertOutcome::Updated, None));
+        assert_eq!(c.insert(3, false), (InsertOutcome::Evicted, Some(2)));
+        assert_eq!(c.insert(4, false), (InsertOutcome::Evicted, Some(3)));
+        assert!(c.contains(1));
     }
 
     #[test]
     fn all_pinned_rejects_unpinned_but_accepts_pinned() {
         let mut c = LruCache::new(2);
-        c.insert(1, (), true);
-        c.insert(2, (), true);
-        assert_eq!(c.insert(3, (), false), InsertOutcome::Rejected);
-        assert!(!c.contains(&3));
-        assert_eq!(c.insert(4, (), true), InsertOutcome::OverCapacity);
-        assert!(c.contains(&4));
+        c.insert(1, true);
+        c.insert(2, true);
+        assert_eq!(c.insert(3, false), (InsertOutcome::Rejected, None));
+        assert!(!c.contains(3));
+        assert_eq!(c.insert(4, true), (InsertOutcome::OverCapacity, None));
+        assert!(c.contains(4));
         assert_eq!(c.len(), 3); // over budget by one, visible to callers
+    }
+
+    #[test]
+    fn overflow_grows_storage_and_keeps_every_key() {
+        let mut c = LruCache::new(2);
+        for k in 0..100 {
+            c.insert(k, true);
+        }
+        assert_eq!(c.len(), 100);
+        assert!((0..100).all(|k| c.contains(k)));
+        assert_eq!(c.retain_not(|k| k % 3 == 0), 34);
+        assert!((0..100).all(|k| c.contains(k) == (k % 3 != 0)));
     }
 
     #[test]
     fn remove_and_reuse_slots() {
         let mut c = LruCache::new(2);
-        c.insert('a', 1, false);
-        assert_eq!(c.remove(&'a'), Some(1));
-        assert_eq!(c.remove(&'a'), None);
-        c.insert('b', 2, false);
-        c.insert('c', 3, false);
+        c.insert(1, false);
+        assert!(c.remove(1));
+        assert!(!c.remove(1));
+        c.insert(2, false);
+        c.insert(3, false);
         assert_eq!(c.len(), 2);
+        assert_eq!(c.insert(4, false), (InsertOutcome::Evicted, Some(2)));
     }
 
     #[test]
     fn retain_not_removes_matching() {
         let mut c = LruCache::new(10);
         for i in 0..10 {
-            c.insert(i, i, false);
+            c.insert(i, false);
         }
-        let removed = c.retain_not(|k| *k % 2 == 0);
+        let removed = c.retain_not(|k| k % 2 == 0);
         assert_eq!(removed, 5);
         assert_eq!(c.len(), 5);
-        assert!(c.contains(&1) && !c.contains(&2));
+        assert!(c.contains(1) && !c.contains(2));
+        // Recency survives compaction: 1 is still the LRU entry.
+        for k in 10..15 {
+            c.insert(k, false);
+        }
+        assert_eq!(c.insert(15, false), (InsertOutcome::Evicted, Some(1)));
     }
 
     #[test]
     fn clear_empties() {
         let mut c = LruCache::new(4);
-        c.insert(1, 1, true);
+        c.insert(1, true);
         c.clear();
-        assert!(c.is_empty());
-        c.insert(2, 2, false);
+        assert!(c.is_empty() && !c.contains(1));
+        c.insert(2, false);
         assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn colliding_keys_stay_reachable_after_removals() {
+        // Multiples of 2^60 share their low bits; removing from the middle
+        // of probe runs must keep the rest findable.
+        let mut c = LruCache::new(16);
+        let keys: Vec<u64> = (0..16).map(|k| k << 60 | 7).collect();
+        for &k in &keys {
+            c.insert(k, false);
+        }
+        for &k in keys.iter().step_by(3) {
+            assert!(c.remove(k));
+        }
+        for (n, &k) in keys.iter().enumerate() {
+            assert_eq!(c.contains(k), n % 3 != 0, "key {k:#x}");
+        }
     }
 
     #[test]
     fn heavy_churn_consistency() {
         let mut c = LruCache::new(64);
         for i in 0..10_000u64 {
-            c.insert(i % 257, i, false);
+            c.insert(i % 257, false);
             assert!(c.len() <= 64);
         }
         // The most recent keys must be resident.
-        assert!(c.contains(&(9_999u64 % 257)));
+        assert!(c.contains(9_999u64 % 257));
     }
 }

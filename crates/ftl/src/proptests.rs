@@ -1,86 +1,149 @@
 //! Property-based tests: the pinned-LRU cache against a reference model,
-//! and mapping-table aggregation invariants.
+//! the L2P cache's per-granularity bookkeeping, and mapping-table
+//! aggregation invariants.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use crate::{L2pCache, LookupResult, LruCache, MapBitmap, MappingTable};
+use crate::{InsertOutcome, L2pCache, LookupResult, LruCache, MapBitmap, MappingTable};
 use conzone_types::{Lpn, MapGranularity, Ppa};
 
 #[derive(Debug, Clone)]
 enum LruOp {
-    Insert(u16, u16),
-    Get(u16),
-    Remove(u16),
+    Insert(u64, bool),
+    Get(u64),
+    Remove(u64),
+    /// Remove every key `k` with `k % m == r`.
+    RetainNot(u64, u64),
 }
 
 fn lru_ops() -> impl Strategy<Value = Vec<LruOp>> {
     prop::collection::vec(
         prop_oneof![
-            3 => (any::<u16>(), any::<u16>()).prop_map(|(k, v)| LruOp::Insert(k % 64, v)),
-            2 => any::<u16>().prop_map(|k| LruOp::Get(k % 64)),
-            1 => any::<u16>().prop_map(|k| LruOp::Remove(k % 64)),
+            3 => (any::<u16>(), any::<u8>()).prop_map(|(k, p)| LruOp::Insert(u64::from(k % 64), p % 4 == 0)),
+            2 => any::<u16>().prop_map(|k| LruOp::Get(u64::from(k % 64))),
+            1 => any::<u16>().prop_map(|k| LruOp::Remove(u64::from(k % 64))),
+            1 => (2u64..8, any::<u64>()).prop_map(|(m, r)| LruOp::RetainNot(m, r % m)),
         ],
         1..200,
     )
 }
 
-/// A straightforward reference LRU: Vec ordered most-recent-first.
+/// A straightforward reference pinned LRU: a Vec of `(key, pinned)`
+/// ordered most-recent-first. The victim is the least-recent unpinned
+/// entry; with every resident pinned, an unpinned insert is rejected and a
+/// pinned one stored over capacity.
 #[derive(Default)]
 struct RefLru {
-    entries: Vec<(u16, u16)>, // MRU at index 0
+    entries: Vec<(u64, bool)>, // MRU at index 0
     capacity: usize,
 }
 
 impl RefLru {
-    fn insert(&mut self, k: u16, v: u16) {
-        if let Some(pos) = self.entries.iter().position(|(ek, _)| *ek == k) {
-            self.entries.remove(pos);
-        } else if self.entries.len() == self.capacity {
-            self.entries.pop();
-        }
-        self.entries.insert(0, (k, v));
+    fn position(&self, k: u64) -> Option<usize> {
+        self.entries.iter().position(|(ek, _)| *ek == k)
     }
-    fn get(&mut self, k: u16) -> Option<u16> {
-        let pos = self.entries.iter().position(|(ek, _)| *ek == k)?;
+    fn insert(&mut self, k: u64, pinned: bool) -> (InsertOutcome, Option<u64>) {
+        if let Some(pos) = self.position(k) {
+            let (_, was) = self.entries.remove(pos);
+            self.entries.insert(0, (k, was || pinned));
+            return (InsertOutcome::Updated, None);
+        }
+        let mut result = (InsertOutcome::Stored, None);
+        if self.entries.len() >= self.capacity {
+            match self.entries.iter().rposition(|(_, p)| !p) {
+                Some(pos) => {
+                    let (victim, _) = self.entries.remove(pos);
+                    result = (InsertOutcome::Evicted, Some(victim));
+                }
+                None if pinned => result = (InsertOutcome::OverCapacity, None),
+                None => return (InsertOutcome::Rejected, None),
+            }
+        }
+        self.entries.insert(0, (k, pinned));
+        result
+    }
+    fn get(&mut self, k: u64) -> bool {
+        let Some(pos) = self.position(k) else {
+            return false;
+        };
         let e = self.entries.remove(pos);
         self.entries.insert(0, e);
-        Some(e.1)
+        true
     }
-    fn remove(&mut self, k: u16) -> Option<u16> {
-        let pos = self.entries.iter().position(|(ek, _)| *ek == k)?;
-        Some(self.entries.remove(pos).1)
+    fn remove(&mut self, k: u64) -> bool {
+        self.position(k)
+            .map(|pos| self.entries.remove(pos))
+            .is_some()
     }
+    fn retain_not(&mut self, m: u64, r: u64) -> usize {
+        let before = self.entries.len();
+        self.entries.retain(|(k, _)| k % m != r);
+        before - self.entries.len()
+    }
+}
+
+/// Ops on the L2P cache: inserts at any granularity (pinned or not),
+/// lookups and both invalidations.
+#[derive(Debug, Clone)]
+enum CacheOp {
+    Insert(u64, MapGranularity, bool),
+    Lookup(u64),
+    InvalidatePage(u64),
+    InvalidateZone(u64),
+}
+
+fn granularity() -> impl Strategy<Value = MapGranularity> {
+    prop_oneof![
+        3 => Just(MapGranularity::Page),
+        1 => Just(MapGranularity::Chunk),
+        1 => Just(MapGranularity::Zone),
+    ]
+}
+
+fn cache_ops() -> impl Strategy<Value = Vec<CacheOp>> {
+    prop::collection::vec(
+        prop_oneof![
+            4 => (0u64..256, granularity(), any::<bool>()).prop_map(|(l, g, p)| CacheOp::Insert(l, g, p)),
+            4 => (0u64..256).prop_map(CacheOp::Lookup),
+            1 => (0u64..256).prop_map(CacheOp::InvalidatePage),
+            1 => (0u64..256).prop_map(CacheOp::InvalidateZone),
+        ],
+        1..250,
+    )
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
-    /// Without pinning, `LruCache` behaves exactly like a textbook LRU.
+    /// `LruCache` behaves exactly like the reference pinned LRU, step by
+    /// step: insert outcome and evicted key, hits, removals, length, and
+    /// final residency.
     #[test]
     fn lru_matches_reference(ops in lru_ops(), cap in 1usize..16) {
         let mut real = LruCache::new(cap);
         let mut reference = RefLru { capacity: cap, ..Default::default() };
         for op in ops {
             match op {
-                LruOp::Insert(k, v) => {
-                    real.insert(k, v, false);
-                    reference.insert(k, v);
+                LruOp::Insert(k, pinned) => {
+                    prop_assert_eq!(real.insert(k, pinned), reference.insert(k, pinned), "insert {}", k);
                 }
                 LruOp::Get(k) => {
-                    prop_assert_eq!(real.get(&k).copied(), reference.get(k), "get {}", k);
+                    prop_assert_eq!(real.get(k), reference.get(k), "get {}", k);
                 }
                 LruOp::Remove(k) => {
-                    prop_assert_eq!(real.remove(&k), reference.remove(k), "remove {}", k);
+                    prop_assert_eq!(real.remove(k), reference.remove(k), "remove {}", k);
+                }
+                LruOp::RetainNot(m, r) => {
+                    prop_assert_eq!(real.retain_not(|k| k % m == r), reference.retain_not(m, r));
                 }
             }
             prop_assert_eq!(real.len(), reference.entries.len());
-            prop_assert!(real.len() <= cap);
         }
         // Final residency agrees exactly.
-        for (k, v) in &reference.entries {
-            prop_assert_eq!(real.peek(k), Some(v));
+        for (k, _) in &reference.entries {
+            prop_assert!(real.contains(*k), "{} resident", k);
         }
     }
 
@@ -88,10 +151,47 @@ proptest! {
     #[test]
     fn pinned_entries_survive(churn in prop::collection::vec(any::<u16>(), 1..300), cap in 2usize..16) {
         let mut cache = LruCache::new(cap);
-        cache.insert(u16::MAX, 1, true);
+        cache.insert(u64::MAX, true);
         for k in churn {
-            cache.insert(k % 1000, 0, false);
-            prop_assert!(cache.contains(&u16::MAX));
+            cache.insert(u64::from(k % 1000), false);
+            prop_assert!(cache.contains(u64::MAX));
+        }
+    }
+
+    /// The L2P cache's per-granularity resident counts always equal a
+    /// recount of its entries, and `lookup` equals a naive lookup that
+    /// probes all three levels.
+    #[test]
+    fn resident_counts_and_lookup_match_naive(ops in cache_ops(), cap in 1usize..24) {
+        const CHUNK: u64 = 4;
+        const ZONE: u64 = 16;
+        let mut cache = L2pCache::new(cap, CHUNK, ZONE);
+        for op in ops {
+            match op {
+                CacheOp::Insert(l, g, pinned) => {
+                    cache.insert(Lpn(l), g, pinned && g > MapGranularity::Page);
+                }
+                CacheOp::Lookup(l) => {
+                    let resident: Vec<_> = cache.entries().collect();
+                    let naive = [
+                        (MapGranularity::Zone, l / ZONE),
+                        (MapGranularity::Chunk, l / CHUNK),
+                        (MapGranularity::Page, l),
+                    ]
+                    .into_iter()
+                    .find(|e| resident.contains(e))
+                    .map_or(LookupResult::Miss, |(g, _)| LookupResult::Hit(g));
+                    prop_assert_eq!(cache.covers(Lpn(l)), naive != LookupResult::Miss);
+                    prop_assert_eq!(cache.lookup(Lpn(l)), naive, "lookup {}", l);
+                }
+                CacheOp::InvalidatePage(l) => cache.invalidate_page(Lpn(l)),
+                CacheOp::InvalidateZone(l) => cache.invalidate_zone(Lpn(l / ZONE * ZONE)),
+            }
+            for g in [MapGranularity::Page, MapGranularity::Chunk, MapGranularity::Zone] {
+                let recount = cache.entries().filter(|(eg, _)| *eg == g).count();
+                prop_assert_eq!(cache.resident(g), recount, "{} count", g);
+            }
+            prop_assert_eq!(cache.entries().count(), cache.len());
         }
     }
 

@@ -60,7 +60,7 @@ pub struct LegacyDevice {
     flash: FlashArray,
     table: MappingTable,
     /// Page-granularity L2P cache (key = lpn).
-    cache: LruCache<u64, ()>,
+    cache: LruCache,
     /// Entries (the missed one plus the rest of its window) fetched per
     /// L2P miss. 1024 = the paper's 1023-entry prefetch window plus the
     /// missed entry, covering one 4 MiB chunk.
@@ -163,7 +163,7 @@ impl LegacyDevice {
                 self.flash.invalidate(entry.ppa).map_err(internal)?;
                 self.owner.remove(&entry.ppa.raw());
                 self.table.unmap(lpn);
-                self.cache.remove(&lpn.raw());
+                self.cache.remove(lpn.raw());
             }
         }
         Ok(Completion {
@@ -345,7 +345,7 @@ impl LegacyDevice {
                 self.pending.push_back(PendingSlice { lpn, data });
                 self.table.unmap(lpn);
                 self.owner.remove(&ppa.raw());
-                self.cache.remove(&lpn.raw());
+                self.cache.remove(lpn.raw());
             }
             self.counters.gc_migrated_slices += ppas.len() as u64;
             while self.pending.len() >= self.unit_slices() {
@@ -380,7 +380,7 @@ impl LegacyDevice {
             self.pending.push_back(PendingSlice { lpn, data });
             // Invalidate the cache entry of an in-place update; the fresh
             // mapping is installed at flush time.
-            self.cache.remove(&lpn.raw());
+            self.cache.remove(lpn.raw());
             if self.pending.len() >= self.unit_slices() {
                 t = self.flush_unit(t)?;
             }
@@ -411,7 +411,7 @@ impl LegacyDevice {
                 .table
                 .get(lpn)
                 .ok_or(DeviceError::UnwrittenRead { lpn })?;
-            if self.cache.get(&lpn.raw()).is_some() {
+            if self.cache.get(lpn.raw()) {
                 self.counters.l2p_hits_page += 1;
                 self.probe.emit(
                     t_map,
@@ -443,7 +443,7 @@ impl LegacyDevice {
                     window_start..(window_start + self.prefetch_window).min(self.logical_slices)
                 {
                     if self.table.get(Lpn(w)).is_some() {
-                        self.cache.insert(w, (), false);
+                        self.cache.insert(w, false);
                     }
                 }
             }
